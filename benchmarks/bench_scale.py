@@ -27,7 +27,11 @@ steady state; see :class:`repro.protocols.tcp.machine.TcpMachine`).
 
 ``--quick`` is the CI smoke: storm gate + 16-host tree + TCP fast-path
 gate, plus a regression guard against ``baselines/scale_quick.json``
-(fail on a >20% events/sec drop in storm or fabric).  The full sweep
+that holds on any machine: the storm's interleaved batched/legacy ratio
+may not drop >20% below the recorded ratio, and the fabric arm may not
+spend more engine events per delivered datagram than recorded (an
+exact, deterministic count).  Absolute events/sec is printed as a
+trajectory, never gated.  The full sweep
 runs 16/64/256 hosts (the 256-host tree carries >= 1k concurrent
 flows); ``--huge`` adds the 1024-host k=16 tree and the 4096-host
 k=16 tree.  Topology build time is reported separately from the run:
@@ -82,8 +86,8 @@ MIN_FLOWS_AT_256 = 1000
 MIN_FASTPATH_HIT = 0.9
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "scale_quick.json"
-#: Regression guard: fail if batched events/sec drops more than 20%
-#: below the recorded baseline.
+#: Regression guard: fail if the storm's batched/legacy ratio drops more
+#: than 20% below the recorded one.
 BASELINE_DROP = 0.8
 
 
@@ -210,9 +214,8 @@ def run_arm(sim_cls, k, hosts_per_edge, flows_per_host, datagrams) -> dict:
     sim.run()
     cpu = time.process_time() - cpu0
     wall = time.perf_counter() - wall0
-    # events/sec over CPU time (stable under machine contention, and
-    # what the baseline guards); wall-clock feeds the wall-s/sim-s
-    # figure the sweep table reports.
+    # events/sec over CPU time (stable under machine contention);
+    # wall-clock feeds the wall-s/sim-s figure the sweep table reports.
     profile = engine_profile(sim, sim_cls.__name__, cpu, sim.now)
     sent = flows * datagrams
     return {
@@ -351,24 +354,32 @@ def check_quick(storm: dict, fabric: dict, tcp: dict) -> None:
     )
 
 
+def events_per_datagram(fabric_batched: dict) -> float:
+    return fabric_batched["events"] / fabric_batched["datagrams_received"]
+
+
 def check_baseline(storm: dict, fabric_batched: dict) -> str:
-    """Guard batched events/sec (both parts) against the baseline."""
+    """Guard the storm's batched/legacy ratio and the fabric arm's
+    engine events per delivered datagram against the baseline."""
     if not BASELINE_PATH.exists():
         return "baseline: none recorded (run --update-baseline)"
     baseline = json.loads(BASELINE_PATH.read_text())
-    notes = []
-    for key, current in (
-        ("storm_events_per_sec_batched", storm["batched"]["events_per_sec"]),
-        ("fabric_events_per_sec_batched", fabric_batched["events_per_sec"]),
-    ):
-        recorded = baseline[key]
-        floor = recorded * BASELINE_DROP
-        assert current >= floor, (
-            f"events/sec regression ({key}): {current:,.0f} is >20% "
-            f"below baseline {recorded:,.0f} (floor {floor:,.0f})"
-        )
-        notes.append(f"{key} {current:,.0f} vs {recorded:,.0f} ok")
-    return "baseline: " + "; ".join(notes)
+    recorded = baseline["storm_speedup"]
+    floor = recorded * BASELINE_DROP
+    assert storm["speedup"] >= floor, (
+        f"storm batched/legacy ratio {storm['speedup']:.2f}x is >20% below "
+        f"baseline {recorded:.2f}x (floor {floor:.2f}x)"
+    )
+    ceiling = baseline["fabric_events_per_datagram"]
+    current = events_per_datagram(fabric_batched)
+    assert current <= ceiling, (
+        f"fabric arm spends {current:.2f} engine events per delivered "
+        f"datagram, above the recorded ceiling {ceiling:.2f}"
+    )
+    return (
+        f"baseline: storm ratio {storm['speedup']:.2f}x vs {recorded:.2f}x ok; "
+        f"fabric {current:.2f} events/datagram vs ceiling {ceiling:.2f} ok"
+    )
 
 
 def _print_tcp(tcp: dict) -> None:
@@ -476,7 +487,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="record quick batched events/sec as the new baseline",
+        help="record the quick storm ratio and fabric event count as the "
+        "new baseline",
     )
     parser.add_argument(
         "--huge",
@@ -510,15 +522,12 @@ def main(argv=None) -> int:
                             "flows_per_host": QUICK_CONFIG[3],
                             "datagrams_per_flow": QUICK_CONFIG[4],
                         },
-                        "storm_events_per_sec_batched": (
-                            storm["batched"]["events_per_sec"]
-                        ),
                         "storm_speedup": storm["speedup"],
-                        "fabric_events_per_sec_batched": (
-                            batched["events_per_sec"]
-                        ),
                         "fabric_ratio": fabric["fabric_ratio"],
                         "fabric_events": batched["events"],
+                        "fabric_events_per_datagram": (
+                            events_per_datagram(batched)
+                        ),
                         "fabric_events_per_step": (
                             batched["events_per_step"]
                         ),

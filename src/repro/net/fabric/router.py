@@ -39,7 +39,7 @@ from ...protocols.icmp import (
     make_reply,
 )
 from ...protocols.ip import IpError, forwarded_copy
-from ...sim import Simulator, Store, Timeout
+from ...sim import Simulator, Store
 from ..buf import prepend
 from ..headers import (
     ETHERTYPE_ARP,
@@ -108,6 +108,9 @@ class Router:
         self.name = name
         self.kernel = Kernel(sim, costs, name=name)
         self.interfaces: list[RouterInterface] = []
+        #: Interface addresses, kept in step by :meth:`add_interface`
+        #: (read on every received packet).
+        self.local_ips: set[int] = set()
         self.routes = RouteTable()
         # Per-tier capacity: fat-tree builders give aggregation/core
         # routers deeper input queues than the class default.
@@ -128,6 +131,7 @@ class Router:
             self, link, ip, mac, prefix_len, len(self.interfaces)
         )
         self.interfaces.append(iface)
+        self.local_ips.add(ip)
         self.routes.add(ip & prefix_mask(prefix_len), prefix_len, None, iface)
         return iface
 
@@ -152,10 +156,6 @@ class Router:
         if interface is None:
             raise ValueError("route needs a gateway or an interface")
         self.routes.add(prefix, prefix_len, gateway, interface)
-
-    @property
-    def local_ips(self) -> set[int]:
-        return {iface.ip for iface in self.interfaces}
 
     @property
     def route_cache_stats(self) -> dict[str, int]:
@@ -187,21 +187,12 @@ class Router:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
             return
-        # Open-coded cpu.consume(ip_input): per-packet on every hop.
+        # Inline cpu.consume(ip_input): per-packet on every hop.
         cpu = self.kernel.cpu
         cost = self.kernel.cost_table.ip_input
         if cost:
-            request = cpu.claim()
-            try:
-                yield request
-            except BaseException:
-                cpu.abandon(request)
-                raise
-            try:
-                yield Timeout(self.sim, cost)
-                cpu.busy_time += cost
-            finally:
-                cpu.unclaim(request)
+            yield cpu.charge(cost)
+            cpu.busy_time += cost
         if header.dst in self.local_ips:
             yield from self._local_rx(iface, header, payload, link_info)
             return
@@ -247,7 +238,6 @@ class Router:
 
     def _worker(self) -> Generator:
         cpu = self.kernel.cpu
-        sim = self.sim
         while True:
             job = yield self._input.get()
             kind, iface, header, packet = job
@@ -263,17 +253,8 @@ class Router:
                     detail=f"ttl={header.ttl}", cost=cost,
                 )
             if cost:
-                request = cpu.claim()
-                try:
-                    yield request
-                except BaseException:
-                    cpu.abandon(request)
-                    raise
-                try:
-                    yield Timeout(sim, cost)
-                    cpu.busy_time += cost
-                finally:
-                    cpu.unclaim(request)
+                yield cpu.charge(cost)
+                cpu.busy_time += cost
             # Forwarding logic lives inline (not in a helper generator):
             # every CPU charge and transmit below resumes through this
             # frame, and the extra delegation hop is measurable at

@@ -15,7 +15,7 @@ import abc
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..obs import spans as _spans
-from ..sim import Event, Resource, Simulator, Timeout
+from ..sim import Event, Simulator
 from .buf import as_wire_bytes
 from .faults import FaultInjector, FaultPlan, PERFECT
 from .headers import An1Header, BROADCAST_MAC, EthernetHeader
@@ -32,6 +32,13 @@ FaultObserver = Callable[["Link", bytes, FaultPlan], None]
 
 class Link(abc.ABC):
     """Base class for simulated network segments."""
+
+    #: True when every transmitter shares one medium; False for links
+    #: on which each transmitter serializes on its own channel.
+    shared_medium = False
+
+    #: Link name used in oversize-frame errors.
+    kind = "link"
 
     def __init__(
         self,
@@ -52,6 +59,10 @@ class Link(abc.ABC):
         self._frames = 0
         self._tx_bytes = 0
         self._busy_time = 0.0
+        #: Transmit channel -> time its last reserved frame leaves the
+        #: wire.  Channel 0 is the one shared medium; full-duplex links
+        #: key each transmitter by ``id(sender)``.
+        self._tx_free_at: dict[int, float] = {}
 
     @property
     def stats(self) -> dict:
@@ -85,12 +96,52 @@ class Link(abc.ABC):
         """Largest frame the link accepts, link headers included."""
 
     @abc.abstractmethod
+    def occupancy(self, length: int) -> float:
+        """Seconds a ``length``-byte frame holds its transmit channel,
+        inter-frame gap included."""
+
+    def destination(self, frame: bytes):
+        """The link-level destination address of ``frame``."""
+        return frame[:6]
+
     def transmit(self, sender: "Nic", frame: bytes):
         """Generator: serialize ``frame`` onto the wire and deliver it.
 
         ``frame`` may be a fragment chain; the wire is where it becomes
         flat octets (the simulated DMA/PIO boundary), so fault injection
-        and receivers always see real bytes."""
+        and receivers always see real bytes.
+
+        Serialization is FIFO per transmit channel and closed-form: the
+        frame starts when the channel frees (or now, if idle), and one
+        engine event fires when it has left the wire."""
+        if len(frame) > self.max_frame:
+            raise ValueError(
+                f"frame of {len(frame)} bytes exceeds {self.kind} maximum "
+                f"{self.max_frame}"
+            )
+        frame = as_wire_bytes(frame)
+        busy = self.occupancy(len(frame))
+        key = 0 if self.shared_medium else id(sender)
+        sim = self.sim
+        now = sim._now
+        tx_free_at = self._tx_free_at
+        free_at = tx_free_at.get(key, now)
+        end = tx_free_at[key] = (free_at if free_at > now else now) + busy
+        sent = Event(sim)
+        sent._ok = True
+        sent._value = None
+        sim.schedule_at(sent, end)
+        yield sent
+        self._frames += 1
+        self._tx_bytes += len(frame)
+        self._busy_time += busy
+        # The wire only routes on the destination address; decoding the
+        # full header per frame is receiver-side work.
+        dst = self.destination(frame)
+        receivers = [
+            nic for nic in self.nics if nic is not sender and nic.accepts(dst)
+        ]
+        self._deliver_later(receivers, frame)
 
     def _deliver_later(self, receivers: list["Nic"], frame: bytes) -> None:
         faults = self.faults
@@ -131,41 +182,6 @@ class Link(abc.ABC):
                     nic, data, self.propagation_delay + extra_delay
                 )
 
-    @staticmethod
-    def _claim(resource: Resource) -> Event:
-        """Inline capacity-1 acquire: the returned event fires once the
-        caller holds ``resource``.
-
-        Event-for-event identical to ``resource.request()`` (grant
-        scheduled at ``now`` when free, FIFO queueing otherwise) without
-        the generic request/trigger machinery — transmit serialization
-        runs once per frame on every link in the fabric.
-        """
-        sim = resource.sim
-        request = Event(sim)
-        users = resource._users
-        if not users:
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            resource._queue.append(request)
-        return request
-
-    @staticmethod
-    def _unclaim(resource: Resource, request: Event) -> None:
-        """Release an inline claim; grants the next FIFO waiter."""
-        users = resource._users
-        users.remove(request)
-        queue = resource._queue
-        if queue:
-            nxt = queue.popleft()
-            users.append(nxt)
-            nxt._ok = True
-            nxt._value = nxt
-            resource.sim.schedule(nxt)
-
     def _schedule_delivery(self, nic: "Nic", data: bytes, delay: float) -> None:
         def callback(event) -> None:
             nic.wire_deliver(data)
@@ -189,6 +205,9 @@ class EthernetLink(Link):
     than 10.
     """
 
+    shared_medium = True
+    kind = "Ethernet"
+
     PREAMBLE = 8
     FCS = 4
     MIN_FRAME = 64
@@ -203,7 +222,6 @@ class EthernetLink(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._medium = Resource(sim, capacity=1)
 
     @property
     def max_frame(self) -> int:
@@ -214,46 +232,23 @@ class EthernetLink(Link):
         on_wire = self.PREAMBLE + max(length, self.MIN_FRAME) + self.FCS
         return on_wire * 8 / self.bit_rate
 
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds Ethernet maximum "
-                f"{self.max_frame}"
-            )
-        frame = as_wire_bytes(frame)
-        medium = self._medium
-        request = self._claim(medium)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.IFG
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            # The wire only routes on the destination MAC; decoding the
-            # full header per frame is receiver-side work.
-            dst = frame[:6]
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(medium, request)
+    def occupancy(self, length: int) -> float:
+        return self.frame_time(length) + self.IFG
 
 
 class DuplexLink(EthernetLink):
     """Full-duplex point-to-point Ethernet-framed segment.
 
     The switched fabric's cabling: each endpoint (a host NIC or a switch
-    port) serializes independently at the link's bit rate, so the two
+    port) serializes on its own channel at the link's bit rate, so the two
     directions never contend — unlike the shared-medium
     :class:`EthernetLink`, there is no CSMA queueing between them.  The
     frame format, per-frame overheads, and MTU are plain Ethernet, which
     is what lets :class:`~repro.net.nic.pmadd.PmaddNic` drive one
     unmodified.
     """
+
+    shared_medium = False
 
     def __init__(
         self,
@@ -263,38 +258,6 @@ class DuplexLink(EthernetLink):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        #: One serialization resource per transmitter (full duplex).
-        self._tx_channels: dict[int, Resource] = {}
-
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds Ethernet maximum "
-                f"{self.max_frame}"
-            )
-        frame = as_wire_bytes(frame)
-        channel = self._tx_channels.get(id(sender))
-        if channel is None:
-            channel = self._tx_channels[id(sender)] = Resource(
-                self.sim, capacity=1
-            )
-        request = self._claim(channel)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.IFG
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            dst = frame[:6]
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(channel, request)
 
 
 class An1Link(Link):
@@ -302,12 +265,14 @@ class An1Link(Link):
 
     The paper used "a switchless, private segment": effectively a
     full-duplex point-to-point link, so each transmitter gets its own
-    serialization resource.  The frame-size limit is NOT the hardware's
+    serialization channel.  The frame-size limit is NOT the hardware's
     (AN1 frames can reach 64 KB) — the paper's driver "encapsulates data
     into an Ethernet datagram and restricts network transmissions to
     1500-byte packets", an artifact the benchmarks must reproduce, so
     the driver enforces it, not the link.
     """
+
+    kind = "AN1"
 
     OVERHEAD = 12  # Flag/CRC/framing bytes around the AN1 header.
     GAP = 1e-6
@@ -321,7 +286,6 @@ class An1Link(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._channels: dict[int, Resource] = {}
 
     @property
     def max_frame(self) -> int:
@@ -330,31 +294,8 @@ class An1Link(Link):
     def frame_time(self, length: int) -> float:
         return (length + self.OVERHEAD) * 8 / self.bit_rate
 
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds AN1 maximum"
-            )
-        frame = as_wire_bytes(frame)
-        channel = self._channels.get(id(sender))
-        if channel is None:
-            channel = self._channels[id(sender)] = Resource(
-                self.sim, capacity=1
-            )
-        request = self._claim(channel)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.GAP
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            header = An1Header.unpack(frame)
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(header.dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(channel, request)
+    def occupancy(self, length: int) -> float:
+        return self.frame_time(length) + self.GAP
+
+    def destination(self, frame: bytes):
+        return An1Header.unpack(frame).dst

@@ -9,7 +9,7 @@ entry per event (``(time, priority, eid, event)`` tuples), the heap holds
 each distinct timestamp once and a dict maps the timestamp to the events
 due then.  One :meth:`Simulator.step` drains the whole batch, so the
 delay-0 cascades that dominate protocol workloads (every ``succeed``,
-resource grant, and store trigger lands at ``now``) cost one heap
+process start, and store trigger lands at ``now``) cost one heap
 operation per *timestamp* rather than per *event*.  The dict value is the
 bare event until a second arrival upgrades it to a :class:`_Bucket`, so
 sparse schedules don't pay for batching they never use.  Batch callbacks
@@ -172,6 +172,30 @@ class Simulator:
                 nb.normal.append(event)
             else:
                 nb.urgent.append(event)
+            buckets[t] = nb
+
+    def schedule_at(self, event: Event, t: float) -> None:
+        """Place a triggered event on the schedule at absolute time ``t``
+        (NORMAL priority).
+
+        For completion times computed in closed form (``start + cost``):
+        the event lands on exactly that float, where ``schedule`` would
+        land on ``now + ((start + cost) - now)``, which can differ in the
+        last bit.
+        """
+        if t < self._now:
+            raise ValueError(f"t={t} is in the past (now={self._now})")
+        buckets = self._buckets
+        b = buckets.get(t)
+        if b is None:
+            buckets[t] = event
+            _heappush(self._heap, t)
+        elif type(b) is _Bucket:
+            b.normal.append(event)
+        else:
+            nb = _Bucket()
+            nb.normal.append(b)
+            nb.normal.append(event)
             buckets[t] = nb
 
     def step(self) -> None:
@@ -338,6 +362,11 @@ class LegacySimulator(Simulator):
         _heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
+
+    def schedule_at(self, event: Event, t: float) -> None:
+        if t < self._now:
+            raise ValueError(f"t={t} is in the past (now={self._now})")
+        _heappush(self._queue, (t, NORMAL, next(self._eid), event))
 
     def step(self) -> None:
         try:

@@ -126,8 +126,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Slots set directly rather than via Event.__init__: one timeout
-        # exists per costed CPU charge, so the extra call is measurable.
+        # Slots set directly rather than via Event.__init__: timeouts
+        # pace every sender and timer, so the extra call is measurable.
         self.sim = sim
         self.callbacks = []
         self._value = value

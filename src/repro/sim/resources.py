@@ -1,24 +1,26 @@
 """Shared-resource primitives built on the event engine.
 
-Three primitives cover everything the substrate needs:
+Two primitives cover everything the substrate needs:
 
 * :class:`Store` — an unbounded-or-bounded FIFO of items; the universal
   mailbox/queue used by NICs, IPC, and device drivers.
-* :class:`Resource` — a counted resource with FIFO service; used to model
-  a host CPU (capacity 1) so that protocol processing, application work,
-  and interrupt handling contend for cycles.
-* :class:`CPU` — a thin convenience wrapper over a capacity-1 Resource
-  that charges a cost-model duration while holding the resource.
+* :class:`CPU` — a host processor, so that protocol processing,
+  application work, and interrupt handling contend for cycles.  A
+  charge is closed-form: it starts at ``max(now, free_at)``, ends
+  ``cost`` later, and costs one engine event — the completion time a
+  capacity-1, non-preemptive FIFO queue would give, without a
+  claim/grant/release round trip.  A thread interrupted while its
+  charge is pending keeps the reservation (the time stays spent) and
+  does not credit ``busy_time``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from .engine import Simulator
-from .errors import SimError
-from .events import PENDING, Event, Timeout
+from .events import PENDING, Event
 
 
 class StorePut(Event):
@@ -113,87 +115,29 @@ class Store:
                 return
 
 
-class ResourceRequest(Event):
-    """A pending claim on one unit of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self._cancelled = False
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        if self.triggered:
-            raise SimError("cannot cancel a granted request; release instead")
-        try:
-            self.resource._queue.remove(self)
-        except ValueError:
-            pass
-
-
-class Resource:
-    """``capacity`` units served strictly FIFO."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._users: list[ResourceRequest] = []
-        self._queue: Deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        """Units currently in use."""
-        return len(self._users)
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._queue)
-
-    def request(self) -> ResourceRequest:
-        """Event granted when a unit becomes available."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Return the unit held by ``request``."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimError("releasing a request that holds no unit") from None
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            request = self._queue.popleft()
-            self._users.append(request)
-            request.succeed(request)
-
-
 class CPU:
-    """A host processor: a capacity-1 FIFO resource plus a cost meter.
+    """A host processor: one FIFO, non-preemptive server plus a cost meter.
 
-    All costed work on a host funnels through :meth:`consume`, so
-    concurrent activities (interrupt handling, protocol processing,
-    application copies) serialize exactly as they would on the paper's
-    uniprocessor DECstations.
+    All costed work on a host funnels through :meth:`charge` (or its
+    generator wrapper :meth:`consume`), so concurrent activities
+    (interrupt handling, protocol processing, application copies)
+    serialize exactly as they would on the paper's uniprocessor
+    DECstations.
+
+    Charges are computed in closed form rather than by granting and
+    releasing a held unit: a charge issued at ``now`` starts at
+    ``max(now, free_at)``, ends at ``start + cost``, and moves
+    ``free_at`` to that end.  That is the completion time a capacity-1
+    FIFO queue produces, reached with one engine event per charge.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu") -> None:
         self.sim = sim
         self.name = name
-        self._resource = Resource(sim, capacity=1)
+        #: Simulated time at which the last reserved charge completes.
+        self.free_at = 0.0
+        #: Seconds of *completed* charges (credited by the charging
+        #: thread when its charge ends, never at reservation).
         self.busy_time = 0.0
 
     @property
@@ -201,112 +145,36 @@ class CPU:
         """Total simulated seconds this CPU has spent busy."""
         return self.busy_time
 
-    def claim(self) -> Event:
-        """Inline capacity-1 acquire for open-coded hot paths.
+    def charge(self, cost: float) -> Event:
+        """Reserve ``cost`` seconds of CPU; the returned event fires when
+        the charge completes.
 
-        Returns the grant event (fires once the CPU is held).  The
-        caller must ``yield`` it, guard the wait with
-        :meth:`abandon`, and pair it with :meth:`unclaim` — the pattern
-        :meth:`consume` wraps.  Hot receive/transmit paths open-code
-        that pattern in their own generator frame: it saves one
-        delegating generator per CPU charge, which is the dominant
-        per-event cost at fabric scale.
+        The caller yields the event and then credits
+        ``busy_time += cost``; :meth:`consume` is that pattern.  A thread
+        interrupted while its charge is pending keeps its reservation
+        (the CPU time stays spent, later charges still queue behind it)
+        but never credits ``busy_time``.
         """
-        res = self._resource
-        users = res._users
+        if cost < 0:
+            raise ValueError(f"negative cost {cost}")
         sim = self.sim
-        request = Event(sim)
-        if not users:
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            res._queue.append(request)
-        return request
-
-    def abandon(self, request: Event) -> None:
-        """Back out of a claim after an exception at the wait point."""
-        if request._value is PENDING:
-            try:
-                self._resource._queue.remove(request)
-            except ValueError:
-                pass
-        else:
-            self._resource._users.remove(request)
-            self._resource._trigger()
-
-    def unclaim(self, request: Event) -> None:
-        """Release a granted claim; grants the next FIFO waiter."""
-        res = self._resource
-        res._users.remove(request)
-        queue = res._queue
-        if queue:
-            nxt = queue.popleft()
-            res._users.append(nxt)
-            nxt._ok = True
-            nxt._value = nxt
-            self.sim.schedule(nxt)
+        now = sim._now
+        free_at = self.free_at
+        end = self.free_at = (free_at if free_at > now else now) + cost
+        done = Event(sim)
+        done._ok = True
+        done._value = None
+        sim.schedule_at(done, end)
+        return done
 
     def consume(self, cost: float) -> Generator[Event, Any, None]:
-        """Generator: acquire the CPU, hold it ``cost`` seconds, release.
+        """Generator: occupy the CPU for ``cost`` seconds.
 
         Usage inside a process::
 
             yield from host.cpu.consume(costs.trap)
-
-        This is the single hottest function in the simulator (every
-        costed instruction on every host funnels through it), so the
-        capacity-1 grant/queue/release dance is inlined here rather than
-        going through the generic :class:`Resource` machinery.  The
-        event sequence — grant scheduled at ``now``, then a cost-long
-        timeout — is identical to what ``request()``/``release()`` would
-        produce, and the inlined paths share ``_users``/``_queue`` with
-        the Resource so external ``cpu._resource.request()`` holders
-        still contend correctly.
         """
-        if cost < 0:
-            raise ValueError(f"negative cost {cost}")
         if cost == 0.0:
             return
-        res = self._resource
-        users = res._users
-        sim = self.sim
-        request = Event(sim)
-        if not users:
-            # Uncontended (the common case): grant immediately.  A free
-            # capacity-1 resource always has an empty queue, so FIFO
-            # order is preserved.
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            res._queue.append(request)
-        try:
-            yield request
-        except BaseException:
-            # Interrupted while queued for the CPU: withdraw the claim
-            # (or return the unit if the grant raced the interrupt) so
-            # the processor is never leaked.
-            if request._value is PENDING:
-                try:
-                    res._queue.remove(request)
-                except ValueError:
-                    pass
-            else:
-                users.remove(request)
-                res._trigger()
-            raise
-        try:
-            yield Timeout(sim, cost)
-            self.busy_time += cost
-        finally:
-            users.remove(request)
-            queue = res._queue
-            if queue:
-                nxt = queue.popleft()
-                users.append(nxt)
-                nxt._ok = True
-                nxt._value = nxt
-                sim.schedule(nxt)
+        yield self.charge(cost)
+        self.busy_time += cost

@@ -201,7 +201,11 @@ def test_pmadd_rx_overflow_drops():
     # Real costs so interrupt handling actually needs the CPU, which we
     # hog for the whole test: the board's staging buffers must overflow.
     sim, link, kernels, nics = make_eth_world(costs=DECSTATION_5000_200)
-    request = nics[1].kernel.cpu._resource.request()  # Hog B's CPU.
+
+    def hog():  # One long charge holds B's CPU past every arrival.
+        yield from nics[1].kernel.cpu.consume(1.0)
+
+    sim.process(hog())
 
     def send_many():
         for _ in range(PmaddNic.BOARD_BUFFERS + 4):

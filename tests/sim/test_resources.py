@@ -1,8 +1,12 @@
-"""Unit tests for Store, Resource, and CPU primitives."""
+"""Unit tests for the Store and CPU primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import CPU, Resource, SimError, Simulator, Store
+from repro.sim import CPU, Interrupt, LegacySimulator, Simulator, Store
+
+ENGINES = [Simulator, LegacySimulator]
 
 
 # ----------------------------------------------------------------------
@@ -122,118 +126,6 @@ def test_store_waiting_getter_receives_direct_put():
 
 
 # ----------------------------------------------------------------------
-# Resource
-# ----------------------------------------------------------------------
-
-
-def test_resource_serializes_users():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    spans = []
-
-    def worker(tag, hold):
-        req = res.request()
-        yield req
-        start = sim.now
-        yield sim.timeout(hold)
-        res.release(req)
-        spans.append((tag, start, sim.now))
-
-    sim.process(worker("a", 2.0))
-    sim.process(worker("b", 3.0))
-    sim.run()
-    assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
-
-
-def test_resource_capacity_two_admits_two():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    starts = []
-
-    def worker(tag):
-        req = res.request()
-        yield req
-        starts.append((tag, sim.now))
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for tag in ("a", "b", "c"):
-        sim.process(worker(tag))
-    sim.run()
-    assert starts == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_release_unheld_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def worker():
-        req = res.request()
-        yield req
-        res.release(req)
-        with pytest.raises(SimError):
-            res.release(req)
-
-    sim.process(worker())
-    sim.run()
-
-
-def test_resource_cancel_pending_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    sim.process(holder())
-
-    def impatient():
-        yield sim.timeout(1.0)
-        req = res.request()
-        # Not granted yet; withdraw.
-        req.cancel()
-        return "gave-up"
-
-    p = sim.process(impatient())
-    assert sim.run(until=p) == "gave-up"
-    assert res.queued == 0
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    observed = []
-
-    def holder():
-        req = res.request()
-        yield req
-        observed.append((res.count, res.queued))
-        yield sim.timeout(2.0)
-        res.release(req)
-
-    def waiter():
-        yield sim.timeout(1.0)
-        req = res.request()
-        observed.append((res.count, res.queued))
-        yield req
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    assert observed == [(1, 0), (1, 1)]
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-# ----------------------------------------------------------------------
 # CPU
 # ----------------------------------------------------------------------
 
@@ -289,3 +181,135 @@ def test_cpu_negative_cost_rejected():
         yield sim.timeout(0)
 
     sim.run(until=sim.process(proc()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+            st.floats(min_value=1e-9, max_value=2.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    legacy=st.booleans(),
+)
+def test_cpu_charge_matches_fifo_recurrence(jobs, legacy):
+    """Every completion time is ``end_i = max(arrive_i, end_{i-1}) +
+    cost_i`` over arrival order, to the last bit."""
+    sim = (LegacySimulator if legacy else Simulator)()
+    cpu = CPU(sim)
+    finished = {}
+
+    def job(index, arrive, cost):
+        yield sim.timeout(arrive)
+        yield from cpu.consume(cost)
+        finished[index] = sim.now
+
+    for index, (arrive, cost) in enumerate(jobs):
+        sim.process(job(index, arrive, cost))
+    sim.run()
+
+    expected = {}
+    busy = 0.0
+    end = 0.0
+    # Equal arrivals are served in the order their processes started.
+    for index in sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i)):
+        arrive, cost = jobs[index]
+        end = max(arrive, end) + cost
+        expected[index] = end
+        busy += cost
+    assert finished == expected
+    assert cpu.free_at == end
+    assert cpu.busy_time == busy
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cpu_busy_time_counts_only_completed_charges(engine):
+    """``busy_time`` read mid-charge excludes in-flight and queued work
+    (Table 5 reads it between packets)."""
+    sim = engine()
+    cpu = CPU(sim)
+    seen = []
+
+    def worker(cost):
+        yield from cpu.consume(cost)
+
+    def observer():
+        for t in (0.5, 1.5, 3.5):
+            yield sim.timeout(t - sim.now)
+            seen.append(cpu.busy_time)
+
+    sim.process(worker(1.0))
+    sim.process(worker(2.0))  # Queued behind the first: runs 1.0-3.0.
+    sim.process(observer())
+    sim.run()
+    assert seen == [0.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cpu_interrupted_charge_keeps_reservation(engine):
+    """A thread interrupted while its charge is pending (queued or in
+    service) sees the interrupt at once, keeps its reservation so later
+    charges still queue behind it, and credits no ``busy_time``."""
+    sim = engine()
+    cpu = CPU(sim)
+    log = []
+
+    def worker(tag, cost):
+        try:
+            yield from cpu.consume(cost)
+        except Interrupt:
+            log.append((tag, "interrupted", sim.now))
+            return
+        log.append((tag, "done", sim.now))
+
+    running = sim.process(worker("a", 1.0))  # Reserves 0.0-1.0.
+    queued = sim.process(worker("b", 1.0))  # Reserves 1.0-2.0.
+
+    def interrupter():
+        yield sim.timeout(0.5)
+        running.interrupt("kill")
+        queued.interrupt("kill")
+        yield sim.timeout(0.1)
+        sim.process(worker("c", 1.0))  # Queues behind both reservations.
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [
+        ("a", "interrupted", 0.5),
+        ("b", "interrupted", 0.5),
+        ("c", "done", 3.0),
+    ]
+    assert cpu.busy_time == 1.0
+    assert cpu.free_at == 3.0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_schedule_at_lands_on_the_exact_float(engine):
+    """``schedule_at(event, t)`` fires at ``t`` itself, not at
+    ``now + (t - now)``, which differs here in the last bit."""
+    now, t = 0.2, 0.9
+    assert now + (t - now) != t
+    sim = engine()
+    sim.run(until=now)
+    fired = []
+    absolute = sim.event()
+    absolute._ok, absolute._value = True, None
+    absolute.callbacks.append(lambda event: fired.append(("at", sim.now)))
+    sim.schedule_at(absolute, t)
+    relative = sim.event()
+    relative._ok, relative._value = True, None
+    relative.callbacks.append(lambda event: fired.append(("delay", sim.now)))
+    sim.schedule(relative, delay=t - now)
+    sim.run()
+    assert sorted(fired) == [("at", t), ("delay", now + (t - now))]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_schedule_at_rejects_the_past(engine):
+    sim = engine()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.schedule_at(sim.event(), 0.5)
